@@ -169,13 +169,15 @@ struct CampaignMetrics {
     flushNonResident.add(ev.flushNonResident);
     flushInducedNvmWrites.add(ev.flushInducedNvmWrites);
     // Diagnostics of the bulk fast path (call counts, not logical accesses):
-    // zero when --bulk off, so they never feed equivalence comparisons.
+    // zero under Runtime::setBulk(false), so they never feed equivalence
+    // comparisons.
     rangeLoads.add(ev.rangeLoads);
     rangeStores.add(ev.rangeStores);
     rangeSplitBlocks.add(ev.rangeSplitBlocks);
     rangeAccesses.add(ev.rangeLoads + ev.rangeStores);
-    // Diagnostics of the post-mortem scan fast path: zero when --scan off,
-    // so they never feed equivalence comparisons either.
+    // Diagnostics of the post-mortem scan fast path: zero under
+    // Runtime::setScan(false), so they never feed equivalence comparisons
+    // either.
     postmortemBlocksSkipped.add(ev.postmortemBlocksSkipped);
     postmortemBlocksCompared.add(ev.postmortemBlocksCompared);
     postmortemBytesCompared.add(ev.postmortemBytesCompared);
@@ -252,11 +254,13 @@ class RestartQueue {
 //
 // Requests (parent -> worker):  'T' whole trial {trial, crashIndex}
 //                               'R' restart only {trial, capture}
-//                               'S' sweep {n, n x (index, trialCount)}
+//                               'S' sweep {n, n x (index, firstTrial, trials)}
 //                               'A' ack of one streamed sweep capture
 // Responses (worker -> parent): 'r' trial/restart result
 //                               'c' one streamed sweep capture (await 'A')
 //                               'e' sweep end
+// 'r' and 'e' end in the same reply tail (encodeReplyTail): the request's
+// trace lines, metric increments and profile increment.
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
@@ -334,6 +338,15 @@ class WireReader {
     std::memcpy(out, buf_.data() + pos_, len);
     pos_ += len;
   }
+  /// An element count whose elements take at least `minBytes` each: a count
+  /// the rest of the frame cannot hold throws before anything is allocated.
+  std::size_t count(std::size_t minBytes) {
+    const std::uint64_t n = u64();
+    if (n > (buf_.size() - pos_) / minBytes) {
+      throw std::runtime_error("wire: count overruns the frame");
+    }
+    return static_cast<std::size_t>(n);
+  }
 
  private:
   void need(std::uint64_t n) const {
@@ -346,65 +359,46 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-void addEvents(memsim::MemEvents& total, const memsim::MemEvents& run) {
-  total.loads += run.loads;
-  total.stores += run.stores;
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) {
-    total.hits[i] += run.hits[i];
-    total.misses[i] += run.misses[i];
+/// A fork worker's metric increments for one request: every nonzero counter
+/// and histogram of its registry, which restarts from zero per request. The
+/// parent adds them to its own, so a forked campaign's memsim.*, runtime.*
+/// and phase-latency metrics equal an in-process campaign's.
+void encodeMetrics(WireWriter& w) {
+  telemetry::MetricsRegistry::instance().forEach(
+      [&w](const std::string& name, const telemetry::Counter& c) {
+        if (c.value() == 0) return;
+        w.u8('c');
+        w.str(name);
+        w.u64(c.value());
+      },
+      [&w](const std::string& name, const telemetry::Histogram& h) {
+        if (h.count() == 0) return;
+        w.u8('h');
+        w.str(name);
+        w.u64(h.bounds().size());
+        for (const double bound : h.bounds()) w.f64(bound);
+        for (std::size_t i = 0; i <= h.bounds().size(); ++i) w.u64(h.bucketCount(i));
+        w.f64(h.sum());
+      });
+  w.u8(0);
+}
+
+void decodeMetrics(WireReader& r) {
+  auto& registry = telemetry::MetricsRegistry::instance();
+  for (std::uint8_t kind = r.u8(); kind != 0; kind = r.u8()) {
+    const std::string name = r.str();
+    if (kind == 'c') {
+      registry.counter(name).add(r.u64());
+      continue;
+    }
+    if (kind != 'h') throw std::runtime_error("wire: unknown metric kind");
+    std::vector<double> bounds(r.count(8));
+    for (double& bound : bounds) bound = r.f64();
+    std::vector<std::uint64_t> buckets(bounds.size() + 1);
+    for (std::uint64_t& bucket : buckets) bucket = r.u64();
+    const double sum = r.f64();
+    registry.histogram(name, std::move(bounds)).merge(buckets, sum);
   }
-  total.nvmBlockReads += run.nvmBlockReads;
-  total.nvmBlockWrites += run.nvmBlockWrites;
-  total.flushDirty += run.flushDirty;
-  total.flushClean += run.flushClean;
-  total.flushNonResident += run.flushNonResident;
-  total.flushInducedNvmWrites += run.flushInducedNvmWrites;
-  total.rangeLoads += run.rangeLoads;
-  total.rangeStores += run.rangeStores;
-  total.rangeSplitBlocks += run.rangeSplitBlocks;
-  total.postmortemBlocksSkipped += run.postmortemBlocksSkipped;
-  total.postmortemBlocksCompared += run.postmortemBlocksCompared;
-  total.postmortemBytesCompared += run.postmortemBytesCompared;
-}
-
-void encodeEvents(WireWriter& w, const memsim::MemEvents& ev) {
-  w.u64(ev.loads);
-  w.u64(ev.stores);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.hits[i]);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.misses[i]);
-  w.u64(ev.nvmBlockReads);
-  w.u64(ev.nvmBlockWrites);
-  w.u64(ev.flushDirty);
-  w.u64(ev.flushClean);
-  w.u64(ev.flushNonResident);
-  w.u64(ev.flushInducedNvmWrites);
-  w.u64(ev.rangeLoads);
-  w.u64(ev.rangeStores);
-  w.u64(ev.rangeSplitBlocks);
-  w.u64(ev.postmortemBlocksSkipped);
-  w.u64(ev.postmortemBlocksCompared);
-  w.u64(ev.postmortemBytesCompared);
-}
-
-memsim::MemEvents decodeEvents(WireReader& r) {
-  memsim::MemEvents ev;
-  ev.loads = r.u64();
-  ev.stores = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.hits[i] = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.misses[i] = r.u64();
-  ev.nvmBlockReads = r.u64();
-  ev.nvmBlockWrites = r.u64();
-  ev.flushDirty = r.u64();
-  ev.flushClean = r.u64();
-  ev.flushNonResident = r.u64();
-  ev.flushInducedNvmWrites = r.u64();
-  ev.rangeLoads = r.u64();
-  ev.rangeStores = r.u64();
-  ev.rangeSplitBlocks = r.u64();
-  ev.postmortemBlocksSkipped = r.u64();
-  ev.postmortemBlocksCompared = r.u64();
-  ev.postmortemBytesCompared = r.u64();
-  return ev;
 }
 
 void encodeProfile(WireWriter& w, const CampaignProfile& p) {
@@ -547,25 +541,11 @@ SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
 
 // ---- Fork-worker child state -----------------------------------------------
 
-/// Per-request run collector inside a worker child: noteRun() lands events
-/// and profile increments here instead of the (discarded) child metrics
-/// registry, and the response frame ships them to the parent.
-struct ChildRunCollector {
-  memsim::MemEvents events;
-  CampaignProfile profile;
-  /// runtime.crash_injections value at request start: the child registry is
-  /// discarded, so each reply ships the per-request delta for the parent to
-  /// re-add — keeping the counter identical to an in-process run.
-  std::uint64_t crashInjectionsBase = 0;
-
-  [[nodiscard]] std::uint64_t crashInjectionsDelta() const {
-    return telemetry::MetricsRegistry::instance()
-               .counter("runtime.crash_injections")
-               .value() -
-           crashInjectionsBase;
-  }
-};
-ChildRunCollector* g_childRunCollector = nullptr;
+/// Per-request profile increment inside a worker child: noteRun() folds the
+/// request's runs here (the runner's own profile_ and its mutex belong to
+/// the parent) and the reply tail ships it. Non-null exactly while a fork
+/// worker serves a request.
+CampaignProfile* g_childProfile = nullptr;
 
 /// Installed in a worker child while a crashing run may host an injected
 /// fault: where to write the black box and which fd a wild write tears.
@@ -586,6 +566,17 @@ std::string takeChildTrace() {
   std::string out = g_childTraceBuf->str();
   g_childTraceBuf->str("");
   return out;
+}
+
+/// The tail of every 'r' and 'e' reply: the request's trace lines, metric
+/// increments and profile increment. A failed attempt ships it too — it
+/// still simulated runs the parent must account, exactly as an in-process
+/// attempt records them before its exception propagates.
+void encodeReplyTail(WireWriter& resp, const CampaignProfile& profile) {
+  resp.str(takeChildTrace());
+  encodeMetrics(resp);
+  resp.u8(profile.runs > 0 ? 1 : 0);
+  if (profile.runs > 0) encodeProfile(resp, profile);
 }
 
 /// Execute one injected fault for real. Segv and hang never return; a wild
@@ -846,13 +837,12 @@ void CampaignRunner::accumulateProfile(const Runtime& rt) const {
 }
 
 void CampaignRunner::noteRun(const Runtime& rt) const {
-  if (g_childRunCollector != nullptr) {
-    addEvents(g_childRunCollector->events, rt.events());
-    if (config_.profile) g_childRunCollector->profile.accumulate(rt);
-    return;
-  }
   CampaignMetrics::get().recordRun(rt.events());
-  accumulateProfile(rt);
+  if (g_childProfile == nullptr) {
+    accumulateProfile(rt);
+  } else if (config_.profile) {
+    g_childProfile->accumulate(rt);
+  }
 }
 
 void CampaignRunner::commitTrial(std::size_t trial,
@@ -903,8 +893,6 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   // routing-independent. Skipping the cache simulation here is the bulk of
   // the sampled mode's large-footprint win.
   if (monitor != nullptr && !config_.monitor.trackedGolden) rt.setDirect(true);
-  rt.setBulk(config_.bulk);
-  rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   // Installed before setup so the apps' setup-phase writes are sampled too —
@@ -1029,9 +1017,107 @@ void CampaignRunner::buildMonitorSummary(const memsim::RegionMonitor& monitor,
                                  << monitorState_.demotedBytes << " bytes)");
 }
 
-void CampaignRunner::applyMonitorRouting(Runtime& rt) const {
-  if (!monitorState_.active) return;
-  rt.setDemotedNames(monitorState_.demotedNames());
+std::unique_ptr<runtime::IApp> CampaignRunner::startCrashingRun(
+    Runtime& rt, const std::string& traceRun, const std::atomic<bool>* cancel,
+    std::uint64_t crashIndex) const {
+  rt.setPlan(config_.plan);
+  // Sampled monitoring's demotions must land before the app allocates, so
+  // the demoted objects never enter the cache hierarchy.
+  if (monitorState_.active) rt.setDemotedNames(monitorState_.demotedNames());
+  rt.setCancelFlag(cancel);
+  rt.setTraceRun(traceRun);
+  armProfile(rt);
+  auto app = factory_();
+  app->setup(rt);
+  app->initialize(rt);
+  rt.armCrash(crashIndex);
+  installFault(rt);
+  return app;
+}
+
+SweepCapture CampaignRunner::postmortem(Runtime& rt, const CrashEvent& at,
+                                        std::uint64_t crashIndex,
+                                        std::size_t trial) const {
+  telemetry::PhaseSpan span("postmortem", CampaignMetrics::get().postmortemUs,
+                            static_cast<std::int64_t>(trial));
+  SweepCapture capture;
+  // The trial records the pre-drawn index it was armed for; the context
+  // fields come from the access that crossed it.
+  capture.crashAccessIndex = crashIndex;
+  capture.region = at.activeRegion;
+  capture.regionPath = at.regionPath;
+  capture.crashIteration = at.iteration;
+  // NVCT post-mortem: inconsistency rates before the caches are dropped.
+  for (const auto& object : rt.objects()) {
+    if (!object.candidate) continue;
+    capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
+    capture.snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
+                                       ? rt.dumpObjectNvm(object.id)
+                                       : rt.dumpObjectCurrent(object.id);
+  }
+  capture.restartIteration = config_.mode == SnapshotMode::NvmImage
+                                 ? rt.bookmarkedIterationNvm()
+                                 : at.iteration;
+  return capture;
+}
+
+CampaignRunner::SweepOutcome CampaignRunner::sweepCrashingRun(
+    const GoldenStats& golden, const std::vector<SweepPoint>& points,
+    const std::atomic<bool>* cancel, const CaptureSink& sink) const {
+  SweepOutcome outcome;
+  const auto fellBack = [&](const std::string& why) {
+    EC_LOG_WARN("sweep run " << why << " after " << outcome.captured << "/"
+                << points.size() << " capture(s); uncaptured trials fall "
+                "back to the per-trial path");
+  };
+  Runtime rt(config_.cache);
+  try {
+    // One span covers the whole sweep crashing run (no single trial to
+    // stamp); per-capture post-mortems get their own spans inside the hook.
+    telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
+    auto app = startCrashingRun(rt, "sweep", cancel, points.back().index);
+    std::vector<std::uint64_t> indices;
+    indices.reserve(points.size());
+    for (const SweepPoint& point : points) indices.push_back(point.index);
+    rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
+      EC_CHECK(outcome.captured < points.size());
+      const SweepPoint& point = points[outcome.captured];
+      auto capture = std::make_shared<const SweepCapture>(
+          postmortem(rt, at, point.index, point.firstTrial));
+      ++outcome.captured;
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_capture")
+            .field("run", rt.traceRun())
+            .field("crash_access", point.index)
+            .field("region", at.activeRegion)
+            .field("iteration", at.iteration)
+            .field("trials", point.trials)
+            .emit();
+      }
+      sink(point, std::move(capture));
+    });
+    const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
+    (void)run;
+    EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
+  } catch (const CrashEvent&) {
+    // The arranged end of the sweep: the last pending index was captured
+    // on this very access, then the crash fired.
+    outcome.completedAll = outcome.captured == points.size();
+  } catch (const SweepAbort&) {
+    // Stop requested or the restart pipeline went away; not an error.
+  } catch (const runtime::TrialCancelled&) {
+    fellBack("cancelled by the watchdog");
+  } catch (const std::bad_alloc&) {
+    if (g_childProfile != nullptr) throw;  // a fork worker exits kWorkerOomExit
+    fellBack("ran out of memory");
+  } catch (const std::exception& e) {
+    fellBack(std::string("failed (") + e.what() + ")");
+  } catch (...) {
+    fellBack("failed");
+  }
+  rt.powerLoss();
+  noteRun(rt);
+  return outcome;
 }
 
 namespace {
@@ -1061,25 +1147,23 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
 }  // namespace
 
 /// The worker child's request loop body (one call per request frame). Runs
-/// the same runOneTest/runRestart the in-process evaluator runs — byte-for-
-/// byte the same simulation — and ships the result (or the failure), the
-/// run's MemEvents, the profile increment and the buffered trace lines back
-/// through the pipe protocol. Lives outside the anonymous namespace so
-/// CampaignRunner can befriend it into its private evaluator internals.
+/// the same runOneTest/runRestart/sweepCrashingRun the in-process evaluator
+/// runs — byte-for-byte the same simulation — and ships the result (or the
+/// failure) and the reply tail back through the pipe protocol. Lives outside
+/// the anonymous namespace so CampaignRunner can befriend it into its
+/// private evaluator internals.
 struct ForkChildServer {
   const CampaignRunner& runner;
   const GoldenStats& golden;
 
-  void serve(int slot, const std::string& request,
-             const WorkerPool::ChildChannel& ch) const {
-    (void)slot;
+  void serve(const std::string& request, const WorkerPool::ChildChannel& ch) const {
     WireReader req(request);
     const std::uint8_t op = req.u8();
-    ChildRunCollector collector;
-    collector.crashInjectionsBase = telemetry::MetricsRegistry::instance()
-                                        .counter("runtime.crash_injections")
-                                        .value();
-    g_childRunCollector = &collector;
+    // Each reply ships this request's increments only: the worker's registry
+    // (a discarded copy of the parent's) restarts from zero.
+    telemetry::MetricsRegistry::instance().reset();
+    CampaignProfile profile;
+    g_childProfile = &profile;
     static ChildFaultContext faultCtx;
     faultCtx.plan = runner.config_.inject;
     faultCtx.blackBox = ch.arena();
@@ -1090,7 +1174,7 @@ struct ForkChildServer {
         case 'T': {
           const std::uint64_t trial = req.u64();
           const std::uint64_t crashIndex = req.u64();
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
+          runDecided(ch, profile, trial, [&](CrashTestRecord& record) {
             runner.runOneTest(golden, crashIndex,
                               static_cast<std::size_t>(trial), nullptr, record);
           });
@@ -1100,35 +1184,32 @@ struct ForkChildServer {
           const std::uint64_t trial = req.u64();
           const SweepCapture capture =
               decodeCapture(req, ch.arena(), ch.arenaBytes());
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
+          runDecided(ch, profile, trial, [&](CrashTestRecord& record) {
             runner.runRestart(golden, capture, static_cast<std::size_t>(trial),
                               nullptr, record);
           });
           break;
         }
         case 'S':
-          runSweepChild(req, ch, collector);
+          runSweep(req, ch, profile);
           break;
         default:
           throw std::runtime_error("fork worker: unknown request op");
       }
     } catch (...) {
-      g_childRunCollector = nullptr;
+      g_childProfile = nullptr;
       throw;  // escapes to childMain: bad_alloc -> OOM exit, rest -> protocol
     }
-    g_childRunCollector = nullptr;
+    g_childProfile = nullptr;
   }
 
  private:
   /// Run one attempt (whole trial or restart), then ship an 'r' frame:
   /// status 0 carries the serialized record, status 1 the exception text and
-  /// formatted crash-site path. Both carry trace/events/profile — a failed
-  /// attempt still simulated runs the parent must account, exactly as the
-  /// in-process evaluator records them before its exception propagates.
+  /// formatted crash-site path.
   template <typename Attempt>
-  void runDecided(const WorkerPool::ChildChannel& ch,
-                  ChildRunCollector& collector, std::uint64_t trial,
-                  Attempt&& attempt) const {
+  void runDecided(const WorkerPool::ChildChannel& ch, const CampaignProfile& profile,
+                  std::uint64_t trial, Attempt&& attempt) const {
     CrashTestRecord record;
     std::uint8_t status = 0;
     std::string errReason;
@@ -1145,15 +1226,7 @@ struct ForkChildServer {
     WireWriter resp;
     resp.u8('r');
     resp.u8(status);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
+    encodeReplyTail(resp, profile);
     if (status == 0) {
       resp.str(serializeTrialRecord(static_cast<std::size_t>(trial), record));
     } else {
@@ -1163,104 +1236,34 @@ struct ForkChildServer {
     ch.send(resp.take());
   }
 
-  /// The sweep crashing run, child side: capture every requested index in
-  /// ascending order, stream each as a 'c' frame and wait for the parent's
-  /// 'A' ack (that handshake IS the restart-queue backpressure), then ship
-  /// the 'e' summary.
-  void runSweepChild(WireReader& req, const WorkerPool::ChildChannel& ch,
-                     ChildRunCollector& collector) const {
-    const std::uint64_t count = req.u64();
-    std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
-    std::vector<std::uint64_t> trialCounts(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      indices[i] = req.u64();
-      trialCounts[i] = req.u64();
+  /// The sweep crashing run, child side: stream each capture as a 'c' frame
+  /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
+  /// backpressure), then ship the 'e' summary.
+  void runSweep(WireReader& req, const WorkerPool::ChildChannel& ch,
+                const CampaignProfile& profile) const {
+    std::vector<CampaignRunner::SweepPoint> points(req.count(24));
+    for (CampaignRunner::SweepPoint& point : points) {
+      point.index = req.u64();
+      point.firstTrial = static_cast<std::size_t>(req.u64());
+      point.trials = req.u64();
     }
-    std::size_t captured = 0;
-    bool completedAll = false;
-    const CampaignConfig& config = runner.config_;
-    Runtime rt(config.cache);
-    rt.setBulk(config.bulk);
-    rt.setScan(config.scan);
-    rt.setPlan(config.plan);
-    runner.applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    runner.armProfile(rt);
-    try {
-      telemetry::PhaseSpan crashSpan("crash_run",
-                                     CampaignMetrics::get().crashRunUs);
-      auto app = runner.factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      rt.armCrash(indices.back());
-      runner.installFault(rt);
-      std::vector<std::uint64_t> armIndices = indices;
-      rt.armCaptures(std::move(armIndices), [&](const CrashEvent& at) {
-        const std::uint64_t index = indices[captured];
-        SweepCapture capture;
-        capture.crashAccessIndex = index;
-        capture.region = at.activeRegion;
-        capture.regionPath = at.regionPath;
-        capture.crashIteration = at.iteration;
-        {
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs);
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture.snapshots[object.id] = config.mode == SnapshotMode::NvmImage
-                                               ? rt.dumpObjectNvm(object.id)
-                                               : rt.dumpObjectCurrent(object.id);
-          }
-          capture.restartIteration = config.mode == SnapshotMode::NvmImage
-                                         ? rt.bookmarkedIterationNvm()
-                                         : at.iteration;
-        }
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", trialCounts[captured])
-              .emit();
-        }
-        ++captured;
-        WireWriter frame;
-        frame.u8('c');
-        frame.u64(index);
-        encodeCapture(frame, capture, ch.arena(), ch.arenaBytes());
-        ch.send(frame.take());
-        std::string ack;
-        if (!ch.recv(ack) || ack.empty() || ack[0] != 'A') throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      completedAll = captured == indices.size();
-    } catch (const SweepAbort&) {
-      // Parent withdrew the ack (stop/abort); ship what we have.
-    } catch (const std::bad_alloc&) {
-      throw;
-    } catch (const std::exception&) {
-      // The parent's fallback path covers the uncaptured tail.
-    }
-    rt.powerLoss();
-    runner.noteRun(rt);
+    if (points.empty()) throw std::runtime_error("fork worker: empty sweep");
+    const auto outcome = runner.sweepCrashingRun(
+        golden, points, nullptr,
+        [&](const CampaignRunner::SweepPoint& point,
+            std::shared_ptr<const SweepCapture> capture) {
+          WireWriter frame;
+          frame.u8('c');
+          frame.u64(point.index);
+          encodeCapture(frame, *capture, ch.arena(), ch.arenaBytes());
+          ch.send(frame.take());
+          std::string ack;
+          if (!ch.recv(ack) || ack.empty() || ack[0] != 'A') throw SweepAbort{};
+        });
     WireWriter resp;
     resp.u8('e');
-    resp.u8(completedAll ? 1 : 0);
-    resp.u64(captured);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
+    resp.u8(outcome.completedAll ? 1 : 0);
+    encodeReplyTail(resp, profile);
     ch.send(resp.take());
   }
 };
@@ -1490,6 +1493,10 @@ CampaignResult CampaignRunner::run() const {
     }
   }
   const bool sweepActive = !sweepPlan.empty();
+  std::vector<SweepPoint> sweepPoints;
+  for (const auto& [index, trials] : sweepPlan) {
+    sweepPoints.push_back({index, trials.front(), trials.size()});
+  }
 
   // Process isolation: the fork evaluator runs every crashing run / restart
   // in a pre-forked worker child; any child death is classified into a
@@ -1608,9 +1615,9 @@ CampaignResult CampaignRunner::run() const {
     };
     pool = std::make_unique<WorkerPool>(
         threads + (sweepActive ? 1 : 0), arenaBytes,
-        [&childServer](int slot, const std::string& request,
+        [&childServer](int, const std::string& request,
                        const WorkerPool::ChildChannel& ch) {
-          childServer.serve(slot, request, ch);
+          childServer.serve(request, ch);
         },
         hooks);
     CampaignMetrics::get().workerSpawns.add(pool->spawnCount());
@@ -1729,12 +1736,12 @@ CampaignResult CampaignRunner::run() const {
     noteWorkerDeath(slot, pid, reply);
   };
 
-  // One request/response round-trip on the slot's worker. Throws
-  // ChildFailure (mapped onto the retry/failure machinery by decideTrial)
-  // on any classified death; a dead slot is respawned at the START of the
-  // attempt, so the attempt that follows a death always gets a live worker.
-  const auto forkRoundTrip = [&](int w, const std::string& request,
-                                 double budget) -> std::string {
+  // The slot's live worker for one request, respawned first if it died: a
+  // dead slot is respawned at the START of the attempt, so the attempt that
+  // follows a death always gets a live worker. Clears the black box so a
+  // stale fault report can never be attributed to this request's death, and
+  // returns the worker's pid. Throws ChildFailure when the fork fails.
+  const auto acquireWorker = [&](int w) {
     bool respawned = false;
     if (!pool->ensureWorker(w, &respawned)) {
       throw ChildFailure{"protocol", false, "worker fork failed", ""};
@@ -1749,44 +1756,44 @@ CampaignResult CampaignRunner::run() const {
             .emit();
       }
     }
-    // Clear the black box so a stale fault report can never be attributed
-    // to this attempt's death.
     reinterpret_cast<BlackBox*>(pool->arena(w))->magic = 0;
-    const pid_t pid = pool->pid(w);
+    return pool->pid(w);
+  };
+
+  // Account a reply tail (encodeReplyTail): splice the child's trace, add
+  // its metric increments and merge its profile increment.
+  const auto readReplyTail = [&](WireReader& r) {
+    const std::string trace = r.str();
+    if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
+    decodeMetrics(r);
+    if (r.u8() != 0) {
+      const CampaignProfile shipped = decodeProfile(r);
+      std::lock_guard<std::mutex> lock(profileMutex_);
+      profile_.merge(shipped);
+    }
+  };
+
+  // One trial attempt ('T' or 'R' request) on the slot's worker: decode the
+  // 'r' reply, account its tail, then either yield the record or rethrow the
+  // child's exception as an attempt failure. Throws ChildFailure (mapped
+  // onto the retry/failure machinery by decideTrial) on any classified
+  // death. A reply that does not decode is a protocol death — the stream
+  // may be desynchronized, so the worker is killed and the next attempt
+  // starts fresh.
+  const auto forkAttempt = [&](int w, const std::string& request, double budget,
+                               std::size_t t, CrashTestRecord& record) {
+    const pid_t pid = acquireWorker(w);
     (void)pool->send(w, request);  // a dead worker surfaces in recv()
     WorkerPool::Reply reply = pool->recv(w, forkDeadline(budget));
     if (!reply.ok) {
       noteWorkerDeath(w, pid, reply);
       throw classifyDeath(reply, timeoutMs, pool->arena(w));
     }
-    return std::move(reply.frame);
-  };
-
-  // Decode one 'r' result frame: splice the child's trace, account its
-  // simulated runs, then either yield the record or rethrow the child's
-  // exception as an attempt failure. A frame that does not decode is a
-  // protocol death — the stream may be desynchronized, so the worker is
-  // killed and the next attempt starts fresh.
-  const auto parseTrialReply = [&](int w, const std::string& frame,
-                                   std::size_t t, CrashTestRecord& record) {
     try {
-      WireReader r(frame);
+      WireReader r(reply.frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       const std::uint8_t status = r.u8();
-      const std::string trace = r.str();
-      if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-      CampaignMetrics::get().recordRun(decodeEvents(r));
-      const std::uint64_t crashed = r.u64();
-      if (crashed > 0) {
-        telemetry::MetricsRegistry::instance()
-            .counter("runtime.crash_injections")
-            .add(crashed);
-      }
-      if (r.u8() != 0) {
-        const CampaignProfile shipped = decodeProfile(r);
-        std::lock_guard<std::mutex> lock(profileMutex_);
-        profile_.merge(shipped);
-      }
+      readReplyTail(r);
       if (status == 0) {
         std::string line = r.str();
         if (!line.empty() && line.back() == '\n') line.pop_back();
@@ -1808,33 +1815,17 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  const auto forkTrialAttempt = [&](std::size_t t, int w, double budget,
-                                    CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-    WireWriter req;
-    req.u8('T');
-    req.u64(t);
-    req.u64(crashIndices[t]);
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
-  };
-
-  const auto forkRestartAttempt = [&](std::size_t t, int w,
-                                      const SweepCapture& capture, double budget,
-                                      CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-    WireWriter req;
-    req.u8('R');
-    req.u64(t);
-    encodeCapture(req, capture, pool->arena(w), pool->arenaBytes());
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
-  };
-
-  // Decides trial t on worker slot w by running `attempt` — the whole trial
+  // Decides trial t on worker slot w by running `body` — the whole trial
   // on the per-trial path, just the restart when a sweep capture supplies
   // the crashing half — honouring isolation, the watchdog (armed with the
   // trial's deadline budget) and the retry budget. Exceptions propagate only
   // when isolation is off (the legacy all-or-nothing behaviour).
-  const auto decideTrial = [&](std::size_t t, int w, double budget, auto&& attempt) {
+  const auto decideTrial = [&](std::size_t t, int w, double budget, auto&& body) {
+    // One campaign.trial_us sample per attempt, whichever process simulates it.
+    const auto attempt = [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
+      telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
+      body(cancel, record);
+    };
     if (!res.isolate) {
       CrashTestRecord record;
       attempt(nullptr, record);
@@ -1925,24 +1916,29 @@ CampaignResult CampaignRunner::run() const {
 
   const auto runTrial = [&](std::size_t t, int w) {
     const double budget = wholeTrialBudget(crashIndices[t]);
-    if (forkIsolation) {
-      decideTrial(t, w, budget,
-                  [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                    forkTrialAttempt(t, w, budget, record);
-                  });
-      return;
-    }
     decideTrial(t, w, budget,
                 [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                  runOneTest(result.golden, crashIndices[t], t, cancel, record);
+                  if (forkIsolation) {
+                    WireWriter req;
+                    req.u8('T');
+                    req.u64(t);
+                    req.u64(crashIndices[t]);
+                    forkAttempt(w, req.take(), budget, t, record);
+                  } else {
+                    runOneTest(result.golden, crashIndices[t], t, cancel, record);
+                  }
                 });
+  };
+
+  const auto pipelineOpen = [&] {
+    return !stopRequested() && !budgetExceeded.load() && !workersAbort.load();
   };
 
   // Per-trial claim loop: the whole campaign without the sweep, the fallback
   // for whatever the sweep could not capture with it.
   const auto worker = [&](int w) {
     for (;;) {
-      if (stopRequested() || budgetExceeded.load() || workersAbort.load()) return;
+      if (!pipelineOpen()) return;
       const std::size_t t = next.fetch_add(1);
       if (t >= n) return;
       if (!owned(t)) continue;  // another shard's trial (--shard i/k)
@@ -1953,237 +1949,114 @@ CampaignResult CampaignRunner::run() const {
   };
 
   // --- Single-sweep evaluator -------------------------------------------
-  // ONE crashing run visits every pending crash point in ascending order and
-  // captures it read-only; a real CrashEvent armed at the last index ends
-  // the run without simulating the tail. Restarts are consumed concurrently
-  // by the worker pool, overlapping with the sweep itself.
-  const auto runSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
-    CampaignMetrics::get().sweepRuns.add();
-    Runtime rt(config_.cache);
-    rt.setBulk(config_.bulk);
-    rt.setScan(config_.scan);
-    rt.setPlan(config_.plan);
-    applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    armProfile(rt);
-    if (watchdog) rt.setCancelFlag(&watchdog->arm(slot));
-    try {
-      // One span covers the whole sweep crashing run (no single trial to
-      // stamp); per-capture post-mortems get their own spans inside the hook.
-      telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
-      auto app = factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      std::vector<std::uint64_t> indices;
-      indices.reserve(plannedPoints);
-      for (const auto& [index, trials] : sweepPlan) indices.push_back(index);
-      auto pending = sweepPlan.cbegin();
-      rt.armCrash(indices.back());
-      rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
-        EC_CHECK(pending != sweepPlan.cend());
-        const std::uint64_t index = pending->first;
-        const std::vector<std::size_t>& trials = pending->second;
-        ++pending;
-        auto capture = std::make_shared<SweepCapture>();
-        // The trial records the pre-drawn index it was armed for, exactly as
-        // the per-trial path does, while the context fields come from the
-        // access that crossed it — identical to what CrashEvent would carry.
-        capture->crashAccessIndex = index;
-        capture->region = at.activeRegion;
-        capture->regionPath = at.regionPath;
-        capture->crashIteration = at.iteration;
-        {
-          // The post-mortem of the first trial sharing this capture; queue
-          // backpressure below is deliberately outside the span.
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs,
-              static_cast<std::int64_t>(trials.front()));
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture->inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture->snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                                ? rt.dumpObjectNvm(object.id)
-                                                : rt.dumpObjectCurrent(object.id);
-          }
-          capture->restartIteration = config_.mode == SnapshotMode::NvmImage
-                                          ? rt.bookmarkedIterationNvm()
-                                          : at.iteration;
-        }
-        ++capturedPoints;
-        CampaignMetrics::get().sweepCaptures.add();
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", static_cast<std::uint64_t>(trials.size()))
-              .emit();
-        }
-        for (const std::size_t t : trials) {
-          claimed[t] = 1;
-          // Waiting on a full queue is restart backpressure, not a hung
-          // simulation: suspend the sweep's deadline while parked.
-          if (watchdog) watchdog->disarm(slot);
-          const bool queued = queue.push({t, capture});
-          if (watchdog) watchdog->arm(slot);
-          if (!queued) throw SweepAbort{};
-        }
-        if (stopRequested()) throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, result.golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      // The arranged end of the sweep: the last pending index was captured
-      // on this very access, then the crash fired.
-      completedAll = capturedPoints == plannedPoints;
-    } catch (const SweepAbort&) {
-      // Stop requested or the restart pipeline went away; not an error.
-    } catch (const runtime::TrialCancelled&) {
-      EC_LOG_WARN("sweep run cancelled by the watchdog after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (const std::exception& e) {
-      EC_LOG_WARN("sweep run failed (" << e.what() << ") after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (...) {
-      EC_LOG_WARN("sweep run failed after " << capturedPoints << "/"
-                  << plannedPoints << " capture(s); uncaptured trials fall "
-                  "back to the per-trial path");
+  // ONE crashing run (sweepCrashingRun) visits every pending crash point in
+  // ascending order and captures it read-only; a real CrashEvent armed at
+  // the last index ends the run without simulating the tail. Restarts are
+  // consumed concurrently by the worker pool, overlapping with the sweep.
+  // In-process, the run executes on the producer thread; under fork, in a
+  // worker child that streams each capture back as a 'c' frame and waits
+  // for the parent's ack — the handshake IS the restart-queue backpressure
+  // the in-process sweep gets from queue.push(). A failed sweep leaves the
+  // uncaptured tail to the per-trial path.
+
+  // Hand one capture to the restart workers: claim the trials that drew its
+  // crash point and queue them. False once the pipeline winds down (stop,
+  // abort, failure budget), which ends the sweep.
+  const auto queueCapture = [&](RestartQueue& queue, int slot, std::uint64_t index,
+                                const std::shared_ptr<const SweepCapture>& capture) {
+    CampaignMetrics::get().sweepCaptures.add();
+    if (!pipelineOpen()) return false;
+    for (const std::size_t t : sweepPlan.at(index)) {
+      claimed[t] = 1;
+      // Waiting on a full queue is restart backpressure, not a hung
+      // simulation: suspend the sweep's deadline while parked.
+      if (watchdog) watchdog->disarm(slot);
+      const bool queued = queue.push({t, capture});
+      if (watchdog) watchdog->arm(slot);
+      if (!queued) return false;
     }
-    if (watchdog) watchdog->disarm(slot);
-    rt.powerLoss();
-    CampaignMetrics::get().recordRun(rt.events());
-    accumulateProfile(rt);
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("sweep_end")
-          .field("run", rt.traceRun())
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
-          .emit();
-    }
+    return pipelineOpen();
   };
 
-  // The sweep crashing run, fork side: the run itself executes inside a
-  // worker child (ForkChildServer::runSweepChild) and streams each capture
-  // back as a 'c' frame; the parent decodes it out of the shared arena,
-  // queues the restarts, and acks — the ack handshake IS the restart-queue
-  // backpressure the in-process sweep gets from queue.push(). Any worker
-  // death mid-sweep falls back to the per-trial path for the uncaptured
-  // tail, exactly like an in-process sweep failure.
+  const auto inProcessSweep = [&](RestartQueue& queue, int slot) {
+    const std::atomic<bool>* cancel = watchdog ? &watchdog->arm(slot) : nullptr;
+    const SweepOutcome outcome = sweepCrashingRun(
+        result.golden, sweepPoints, cancel,
+        [&](const SweepPoint& point, std::shared_ptr<const SweepCapture> capture) {
+          if (!queueCapture(queue, slot, point.index, capture)) throw SweepAbort{};
+        });
+    if (watchdog) watchdog->disarm(slot);
+    return outcome;
+  };
+
   const auto forkSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
-    CampaignMetrics::get().sweepRuns.add();
+    SweepOutcome outcome;
     try {
-      bool respawned = false;
-      if (!pool->ensureWorker(slot, &respawned)) {
-        throw ChildFailure{"protocol", false, "worker fork failed", ""};
-      }
-      if (respawned) {
-        CampaignMetrics::get().workerSpawns.add();
-        CampaignMetrics::get().workerRespawns.add();
-      }
-      reinterpret_cast<BlackBox*>(pool->arena(slot))->magic = 0;
-      const pid_t pid = pool->pid(slot);
+      const pid_t pid = acquireWorker(slot);
       WireWriter req;
       req.u8('S');
-      req.u64(static_cast<std::uint64_t>(sweepPlan.size()));
-      for (const auto& [index, trials] : sweepPlan) {
-        req.u64(index);
-        req.u64(static_cast<std::uint64_t>(trials.size()));
+      req.u64(sweepPoints.size());
+      for (const SweepPoint& point : sweepPoints) {
+        req.u64(point.index);
+        req.u64(point.firstTrial);
+        req.u64(point.trials);
       }
       (void)pool->send(slot, req.take());
-      auto pendingEntry = sweepPlan.cbegin();
       for (;;) {
         WorkerPool::Reply reply = pool->recv(slot, forkDeadline(1.0));
         if (!reply.ok) {
           noteWorkerDeath(slot, pid, reply);
-          const ChildFailure cf = classifyDeath(reply, timeoutMs, pool->arena(slot));
-          EC_LOG_WARN("sweep worker died (" << cf.reason << ") after "
-                      << capturedPoints << "/" << plannedPoints
-                      << " capture(s); uncaptured trials fall back to the "
-                      "per-trial path");
-          break;
+          throw classifyDeath(reply, timeoutMs, pool->arena(slot));
         }
         WireReader r(reply.frame);
         const std::uint8_t tag = r.u8();
-        if (tag == 'c') {
-          const std::uint64_t index = r.u64();
-          auto capture = std::make_shared<SweepCapture>(
-              decodeCapture(r, pool->arena(slot), pool->arenaBytes()));
-          EC_CHECK_MSG(pendingEntry != sweepPlan.cend() &&
-                           pendingEntry->first == index,
-                       "fork sweep: capture out of order");
-          const std::vector<std::size_t>& trials = pendingEntry->second;
-          ++pendingEntry;
-          ++capturedPoints;
-          CampaignMetrics::get().sweepCaptures.add();
-          bool keepGoing =
-              !stopRequested() && !budgetExceeded.load() && !workersAbort.load();
-          if (keepGoing) {
-            for (const std::size_t t : trials) {
-              claimed[t] = 1;
-              if (!queue.push({t, capture})) {
-                keepGoing = false;
-                break;
-              }
-            }
-          }
-          // A non-'A' ack tells the child to wind down; it still ships its
-          // 'e' summary so the crashing run's events are accounted.
-          (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
-        } else if (tag == 'e') {
-          completedAll = r.u8() != 0;
-          (void)r.u64();  // child's capture count; we counted the 'c' frames
-          const std::string trace = r.str();
-          if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-          CampaignMetrics::get().recordRun(decodeEvents(r));
-          const std::uint64_t crashed = r.u64();
-          if (crashed > 0) {
-            telemetry::MetricsRegistry::instance()
-                .counter("runtime.crash_injections")
-                .add(crashed);
-          }
-          if (r.u8() != 0) {
-            const CampaignProfile shipped = decodeProfile(r);
-            std::lock_guard<std::mutex> lock(profileMutex_);
-            profile_.merge(shipped);
-          }
+        if (tag == 'e') {
+          outcome.completedAll = r.u8() != 0;
+          readReplyTail(r);
           break;
-        } else {
-          throw std::runtime_error("fork sweep: unexpected frame tag");
         }
+        if (tag != 'c') throw std::runtime_error("fork sweep: unexpected frame tag");
+        const std::uint64_t index = r.u64();
+        EC_CHECK_MSG(outcome.captured < sweepPoints.size() &&
+                         sweepPoints[outcome.captured].index == index,
+                     "fork sweep: capture out of order");
+        const auto capture = std::make_shared<const SweepCapture>(
+            decodeCapture(r, pool->arena(slot), pool->arenaBytes()));
+        ++outcome.captured;
+        // A non-'A' ack tells the child to wind down; it still ships its
+        // 'e' summary so the crashing run's events are accounted.
+        const bool keepGoing = queueCapture(queue, slot, index, capture);
+        (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
       }
     } catch (const ChildFailure& cf) {
-      EC_LOG_WARN("sweep worker unavailable (" << cf.reason << "); trials fall "
-                  "back to the per-trial path");
+      EC_LOG_WARN("sweep worker lost (" << cf.reason << ") after "
+                  << outcome.captured << "/" << sweepPoints.size()
+                  << " capture(s); uncaptured trials fall back to the "
+                  "per-trial path");
     } catch (const std::exception& e) {
       killWorker(slot);
       EC_LOG_WARN("fork sweep failed (" << e.what() << ") after "
-                  << capturedPoints << "/" << plannedPoints
+                  << outcome.captured << "/" << sweepPoints.size()
                   << " capture(s); uncaptured trials fall back to the "
                   "per-trial path");
     }
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
+    return outcome;
+  };
+
+  // The calling thread is the producer.
+  const auto produceSweep = [&](RestartQueue& queue, int slot) {
+    CampaignMetrics::get().sweepRuns.add();
+    const SweepOutcome outcome =
+        forkIsolation ? forkSweep(queue, slot) : inProcessSweep(queue, slot);
+    if (!outcome.completedAll) {
+      CampaignMetrics::get().sweepFallbacks.add(sweepPoints.size() - outcome.captured);
     }
     if (telemetry::tracing()) {
       telemetry::TraceEvent("sweep_end")
           .field("run", "sweep")
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
+          .field("captures", static_cast<std::uint64_t>(outcome.captured))
+          .field("planned", static_cast<std::uint64_t>(sweepPoints.size()))
+          .field("completed", outcome.completedAll)
           .emit();
     }
   };
@@ -2196,26 +2069,26 @@ CampaignResult CampaignRunner::run() const {
   const auto sweepWorker = [&](RestartQueue& queue, int w) {
     try {
       for (;;) {
-        if (stopRequested() || budgetExceeded.load() || workersAbort.load()) {
+        if (!pipelineOpen()) {
           queue.abort();
           return;
         }
         auto entry = queue.pop();
         if (!entry) break;
         const double budget = restartBudget(*entry->capture);
-        if (forkIsolation) {
-          decideTrial(entry->trial, w, budget,
-                      [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                        forkRestartAttempt(entry->trial, w, *entry->capture,
-                                           budget, record);
-                      });
-          continue;
-        }
         decideTrial(entry->trial, w, budget,
                     [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                      telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-                      runRestart(result.golden, *entry->capture, entry->trial, cancel,
-                                 record);
+                      if (forkIsolation) {
+                        WireWriter req;
+                        req.u8('R');
+                        req.u64(entry->trial);
+                        encodeCapture(req, *entry->capture, pool->arena(w),
+                                      pool->arenaBytes());
+                        forkAttempt(w, req.take(), budget, entry->trial, record);
+                      } else {
+                        runRestart(result.golden, *entry->capture, entry->trial,
+                                   cancel, record);
+                      }
                     });
       }
       worker(w);
@@ -2241,12 +2114,7 @@ CampaignResult CampaignRunner::run() const {
     for (int w = 0; w < threads; ++w) {
       pool.emplace_back(sweepWorker, std::ref(queue), w);
     }
-    // The calling thread is the producer.
-    if (forkIsolation) {
-      forkSweep(queue, threads);
-    } else {
-      runSweep(queue, threads);
-    }
+    produceSweep(queue, threads);
     queue.close();
     // The producer has nothing left to feed: join the restart pool on the
     // sweep's watchdog slot instead of idling in join() as the legacy
@@ -2341,27 +2209,13 @@ CampaignResult CampaignRunner::run() const {
 void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
                                 std::size_t trial, const std::atomic<bool>* cancel,
                                 CrashTestRecord& record) const {
-  telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
   record = CrashTestRecord{};
   record.crashAccessIndex = crashIndex;
 
   // --- Crashing run -----------------------------------------------------
   Runtime rt(config_.cache);
-  rt.setBulk(config_.bulk);
-  rt.setScan(config_.scan);
-  rt.setPlan(config_.plan);
-  applyMonitorRouting(rt);
-  rt.setCancelFlag(cancel);
-  rt.setTraceRun("crash:" + std::to_string(trial));
-  armProfile(rt);
-  auto app = factory_();
-  app->setup(rt);
-  app->initialize(rt);
-  rt.armCrash(crashIndex);
-  installFault(rt);
-
+  auto app = startCrashingRun(rt, "crash:" + std::to_string(trial), cancel, crashIndex);
   SweepCapture capture;
-  capture.crashAccessIndex = crashIndex;
   try {
     // The span ends when the armed CrashEvent unwinds out of the try block,
     // so phase_end marks the crash instant.
@@ -2373,23 +2227,7 @@ void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIn
     (void)run;
     EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
   } catch (const CrashEvent& crash) {
-    telemetry::PhaseSpan postmortemSpan("postmortem",
-                                        CampaignMetrics::get().postmortemUs,
-                                        static_cast<std::int64_t>(trial));
-    capture.region = crash.activeRegion;
-    capture.regionPath = crash.regionPath;
-    capture.crashIteration = crash.iteration;
-    // NVCT post-mortem: inconsistency rates before the caches are dropped.
-    for (const auto& object : rt.objects()) {
-      if (!object.candidate) continue;
-      capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-      capture.snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                         ? rt.dumpObjectNvm(object.id)
-                                         : rt.dumpObjectCurrent(object.id);
-    }
-    capture.restartIteration = config_.mode == SnapshotMode::NvmImage
-                                   ? rt.bookmarkedIterationNvm()
-                                   : crash.iteration;
+    capture = postmortem(rt, crash, crashIndex, trial);
     rt.powerLoss();
   } catch (...) {
     // The armed crash never fired — the app (or the watchdog) threw mid-run,
@@ -2425,8 +2263,6 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& c
   // bit-for-bit, and the paper's restarts execute natively anyway — only the
   // crashing run's cache-vs-NVM divergence needs the hierarchy simulated.
   restartRt.setDirect(true);
-  restartRt.setBulk(config_.bulk);
-  restartRt.setScan(config_.scan);
   restartRt.setPlan(config_.plan);
   restartRt.setCancelFlag(cancel);
   restartRt.setTraceRun("restart:" + std::to_string(trial));

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -156,7 +158,7 @@ struct ResilienceConfig {
   bool isolate = false;
   /// Process isolation for trial execution (requires `isolate`). Fork mode
   /// produces byte-identical CSV/journal/report output for every trial that
-  /// does not die — the same differential bar as sweep/bulk/threads.
+  /// does not die — the same differential bar as sweep/threads/shards.
   IsolationMode isolation = IsolationMode::None;
   /// Abort the campaign once more than this many trials fail for good
   /// (after retries). Negative = unlimited.
@@ -242,18 +244,6 @@ struct CampaignConfig {
   /// fixed seed; the sweep drops the crashing phase from O(N·W/2) to O(W)
   /// tracked accesses.
   bool sweep = true;
-  /// Block-granular bulk path for the apps' range accesses. Off lowers every
-  /// loadRange/storeRange to the per-element scalar path inside the runtime.
-  /// Both settings produce byte-identical campaign results for a fixed seed
-  /// (docs/INTERNALS.md "Range access fast path"); off exists as the
-  /// differential oracle and for perf comparisons.
-  bool bulk = true;
-  /// Post-mortem scan fast path: dirty-block index + vectorized compare
-  /// kernel inside the runtime's inconsistency/snapshot reads. Off restores
-  /// the probe-every-level scalar walk. Both settings produce byte-identical
-  /// campaign results (docs/INTERNALS.md "Post-mortem scan"); off exists as
-  /// the differential oracle and for perf comparisons.
-  bool scan = true;
   /// App name stamped onto telemetry (trace common field + trial events).
   std::string appLabel;
   /// Render a live progress line on stderr: trials done, S1-S4 tally, ETA.
@@ -392,6 +382,49 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run() const;
 
  private:
+  /// One pending crash point of a sweep: its pre-drawn index, the first
+  /// trial that drew it (stamped on its post-mortem span) and how many
+  /// trials share it.
+  struct SweepPoint {
+    std::uint64_t index = 0;
+    std::size_t firstTrial = 0;
+    std::uint64_t trials = 0;
+  };
+  struct SweepOutcome {
+    std::size_t captured = 0;
+    bool completedAll = false;  ///< every point captured, then the crash fired
+  };
+  /// Receives each capture in ascending index order; throwing ends the
+  /// sweep (SweepAbort for a deliberate stop).
+  using CaptureSink =
+      std::function<void(const SweepPoint&, std::shared_ptr<const SweepCapture>)>;
+
+  /// Prepare a crashing run on `rt` — persistence plan, monitor demotions,
+  /// cancel flag, trace label, profiling — then build, set up and
+  /// initialise the app and arm the crash at `crashIndex` (plus any injected
+  /// fault). Every crashing run, per-trial or sweep, starts here.
+  [[nodiscard]] std::unique_ptr<runtime::IApp> startCrashingRun(
+      runtime::Runtime& rt, const std::string& traceRun,
+      const std::atomic<bool>* cancel, std::uint64_t crashIndex) const;
+
+  /// The NVCT post-mortem at a crash instant: each candidate's inconsistency
+  /// rate and restart snapshot (NVM image or current values, per
+  /// config_.mode) plus the restart iteration.
+  [[nodiscard]] SweepCapture postmortem(runtime::Runtime& rt,
+                                        const runtime::CrashEvent& at,
+                                        std::uint64_t crashIndex,
+                                        std::size_t trial) const;
+
+  /// The sweep crashing run: one run that captures every point (ascending)
+  /// into `sink` and ends at a real crash on the last one. Both evaluators
+  /// run it — in-process on the producer thread, forked in a worker child —
+  /// and differ only in the sink. A failure ends the run early; the caller
+  /// sends the uncaptured points to the per-trial path.
+  [[nodiscard]] SweepOutcome sweepCrashingRun(const GoldenStats& golden,
+                                              const std::vector<SweepPoint>& points,
+                                              const std::atomic<bool>* cancel,
+                                              const CaptureSink& sink) const;
+
   /// Per-trial path: one crashing run to `crashIndex`, then runRestart.
   /// Fills `record` in place so that a mid-trial exception leaves the
   /// partial progress (crash site, region path) readable for the failure
@@ -414,9 +447,9 @@ class CampaignRunner {
   void armProfile(runtime::Runtime& rt) const;
   void accumulateProfile(const runtime::Runtime& rt) const;
 
-  /// Report one finished simulated run's events + profile. In the parent
-  /// these land in the process metrics registry and profile_; inside a fork
-  /// worker they are collected per request and shipped back instead.
+  /// Report one finished simulated run's events + profile to the metrics
+  /// registry and profile_. Inside a fork worker the profile goes to the
+  /// request's own increment instead, and the reply ships both back.
   void noteRun(const runtime::Runtime& rt) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign
@@ -445,11 +478,6 @@ class CampaignRunner {
   /// and the demotion decisions every crashing run then applies.
   void buildMonitorSummary(const memsim::RegionMonitor& monitor,
                            const GoldenStats& golden) const;
-
-  /// Route the pre-pass demotions onto a crashing run's runtime (no-op under
-  /// full monitoring). Must run before the app allocates, so the demoted
-  /// objects never enter the cache hierarchy.
-  void applyMonitorRouting(runtime::Runtime& rt) const;
 
   friend struct ForkChildServer;
 

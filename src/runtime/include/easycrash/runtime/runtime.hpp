@@ -292,15 +292,16 @@ class Runtime {
   [[nodiscard]] bool direct() const noexcept { return direct_; }
 
   /// Bulk fast-path control: when off, loadRange/storeRange lower to the
-  /// element-wise accesses they are equivalent to. The differential tests and
-  /// `nvct --bulk off` use this to prove the equivalence on real workloads.
+  /// element-wise accesses they are equivalent to. A test-only oracle: the
+  /// differential tests (BulkScanOracle on whole campaigns) use it to prove
+  /// the equivalence on real workloads.
   void setBulk(bool on) noexcept { bulk_ = on; }
   [[nodiscard]] bool bulk() const noexcept { return bulk_; }
 
   /// Post-mortem scan fast-path control: when off, inconsistentRate and the
   /// snapshot dumps fall back to the probe-every-level scalar walk. Both
-  /// settings are bit-identical (`nvct --scan off` and the differential
-  /// tests prove it); the state lives on the hierarchy, not the runtime.
+  /// settings are bit-identical (a test-only oracle: the differential tests
+  /// prove it); the state lives on the hierarchy, not the runtime.
   void setScan(bool on) noexcept { hierarchy_.setScanFastPath(on); }
   [[nodiscard]] bool scan() const noexcept { return hierarchy_.scanFastPath(); }
 

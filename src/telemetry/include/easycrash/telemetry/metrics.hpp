@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -72,6 +73,10 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   void reset() noexcept;
+  /// Fold in observations recorded elsewhere (a fork worker's histogram,
+  /// shipped back to the parent): bucket-wise counts plus their sum.
+  /// `buckets` must hold bounds().size() + 1 entries.
+  void merge(const std::vector<std::uint64_t>& buckets, double sum);
 
  private:
   std::vector<double> bounds_;
@@ -101,6 +106,13 @@ class MetricsRegistry {
   /// Zero every instrument (names stay registered). For tests and for
   /// tools that want per-run snapshots.
   void reset();
+
+  /// Visit every counter and histogram in name order (how a fork worker
+  /// ships its per-request increments back to the parent).
+  void forEach(
+      const std::function<void(const std::string&, const Counter&)>& onCounter,
+      const std::function<void(const std::string&, const Histogram&)>& onHistogram)
+      const;
 
   /// fork() support: hold the registry mutex across the fork so a child
   /// never inherits it locked mid-registration. Parent and child each

@@ -91,7 +91,7 @@ TEST(RegionMonitorTest, SamplingRateTracksInterval) {
 TEST(RegionMonitorTest, BulkScalarAndChunkedFeedsAreIdentical) {
   // The same logical element stream fed three ways: element-wise, one big
   // range, and irregular chunks. The countdown must land on the same
-  // elements each time (the determinism claim --bulk relies on).
+  // elements each time (the determinism claim the bulk path relies on).
   const std::uint64_t kElems = 10000;
   const auto feedScalar = [](ms::RegionMonitor& monitor) {
     for (std::uint64_t i = 0; i < kElems; ++i) {

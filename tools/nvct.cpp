@@ -24,11 +24,9 @@
 // Performance (docs/INTERNALS.md): by default one sweep run captures every
 // pending crash point and the restarts pipeline behind it (--sweep off
 // restores the one-crashing-run-per-trial path; results are byte-identical),
-// the apps' range accesses take the block-granular bulk path (--bulk off
-// restores the per-element scalar path; results are byte-identical), and the
+// the apps' range accesses take the block-granular bulk path, and the
 // post-mortem inconsistency scan walks a dirty-block index with a vectorized
-// compare kernel (--scan off restores the probe-every-level scalar walk;
-// results are byte-identical).
+// compare kernel.
 //
 // Fault tolerance (docs/ROBUSTNESS.md): trials are isolated (a throwing
 // trial becomes a reported TrialFailure, bounded by --max-trial-failures),
@@ -77,9 +75,8 @@ int reportMain(int argc, char** argv) {
   cli.addString("trace", "", "JSONL trace for phase-latency percentiles");
   cli.addString("metrics", "", "metrics snapshot for the access/wear heatmap");
   cli.addString("out", "", "write the report here (default: stdout)");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
       throw std::runtime_error("nvct report requires --journal");
@@ -133,9 +130,8 @@ int mergeMain(int argc, char** argv) {
   cli.addString("report-out", "", "render the merged flight report here");
   cli.addString("trace", "", "JSONL trace for the report's phase latencies");
   cli.addString("metrics", "", "metrics snapshot for the report's heatmap");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
       throw std::runtime_error("nvct merge requires at least one --journal");
@@ -211,14 +207,6 @@ int main(int argc, char** argv) {
                 "single-sweep evaluator: capture every crash point in one "
                 "crashing run and pipeline the restarts (on|off; off = the "
                 "per-trial path, byte-identical results)");
-  cli.addString("bulk", "on",
-                "block-granular bulk path for the apps' range accesses "
-                "(on|off; off = per-element scalar path, byte-identical "
-                "results)");
-  cli.addString("scan", "on",
-                "post-mortem scan fast path: dirty-block index + vectorized "
-                "compare (on|off; off = probe-every-level scalar walk, "
-                "byte-identical results)");
   cli.addString("monitor", "full",
                 "access monitoring: 'full' tracks every byte's value (the "
                 "default; byte-identical to campaigns before the monitor "
@@ -272,9 +260,8 @@ int main(int argc, char** argv) {
              "test hook: request a graceful stop after N new trials (0 = off)");
   cli.addFlag("list-apps", "list the bundled benchmarks and exit");
   cli.addFlag("list-objects", "list the app's data objects and exit");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const std::string logLevel = cli.getString("log-level");
     if (!logLevel.empty()) {
       const auto parsed = ec::telemetry::parseLogLevel(logLevel);
@@ -352,18 +339,6 @@ int main(int argc, char** argv) {
       config.sweep = false;
     } else if (sweep != "on") {
       throw std::runtime_error("--sweep must be 'on' or 'off'");
-    }
-    const std::string bulk = cli.getString("bulk");
-    if (bulk == "off") {
-      config.bulk = false;
-    } else if (bulk != "on") {
-      throw std::runtime_error("--bulk must be 'on' or 'off'");
-    }
-    const std::string scan = cli.getString("scan");
-    if (scan == "off") {
-      config.scan = false;
-    } else if (scan != "on") {
-      throw std::runtime_error("--scan must be 'on' or 'off'");
     }
     const std::string monitor = cli.getString("monitor");
     if (monitor == "sampled") {
